@@ -129,42 +129,61 @@ def critical_path(
     collapsed to a super-node whose weight is the sum of its members — the
     members must execute sequentially anyway.
     """
+    return critical_path_solver(graph)(weight)
+
+
+def critical_path_solver(
+    graph: DiGraph,
+) -> Callable[[Callable[[Hashable], float]], tuple[float, list[Hashable]]]:
+    """:func:`critical_path` for one graph under many weightings.
+
+    The topological order (and, for a cyclic graph, the condensation) is
+    computed once; each call of the returned function only evaluates the
+    longest path under its weight.  The graph must not change meanwhile.
+    """
     if len(graph) == 0:
-        return 0.0, []
+        return lambda _weight: (0.0, [])
     try:
         order = topological_sort(graph)
-        node_weight = weight
-        succ = graph.successors
-        members: dict[Hashable, list[Hashable]] = {n: [n] for n in graph.nodes()}
     except ValueError:
         dag, comp_of = condensation(graph)
-        groups: dict[int, list[Hashable]] = {}
+        members: dict[Hashable, list[Hashable]] = {}
         for node, cid in comp_of.items():
-            groups.setdefault(cid, []).append(node)
+            members.setdefault(cid, []).append(node)
         order = topological_sort(dag)
-        node_weight = lambda cid: sum(weight(n) for n in groups[cid])  # noqa: E731
-        succ = dag.successors
-        members = {cid: groups[cid] for cid in groups}
+        succs = {cid: dag.successors(cid) for cid in order}
+        collapsed = True
+    else:
+        members = {n: [n] for n in graph.nodes()}
+        succs = {n: graph.successors(n) for n in order}
+        collapsed = False
 
-    best: dict[Hashable, float] = {}
-    back: dict[Hashable, Hashable | None] = {}
-    for node in order:
-        if node not in best:
-            best[node] = node_weight(node)
-            back[node] = None
-        for nxt in succ(node):
-            cand = best[node] + node_weight(nxt)
-            if cand > best.get(nxt, float("-inf")):
-                best[nxt] = cand
-                back[nxt] = node
-    end = max(best, key=lambda n: best[n])
-    path: list[Hashable] = []
-    cursor: Hashable | None = end
-    while cursor is not None:
-        path.extend(reversed(members[cursor]))
-        cursor = back[cursor]
-    path.reverse()
-    return best[end], path
+    def solve(weight: Callable[[Hashable], float]) -> tuple[float, list[Hashable]]:
+        if collapsed:
+            node_weight = lambda cid: sum(weight(n) for n in members[cid])  # noqa: E731
+        else:
+            node_weight = weight
+        best: dict[Hashable, float] = {}
+        back: dict[Hashable, Hashable | None] = {}
+        for node in order:
+            if node not in best:
+                best[node] = node_weight(node)
+                back[node] = None
+            for nxt in succs[node]:
+                cand = best[node] + node_weight(nxt)
+                if cand > best.get(nxt, float("-inf")):
+                    best[nxt] = cand
+                    back[nxt] = node
+        end = max(best, key=lambda n: best[n])
+        path: list[Hashable] = []
+        cursor: Hashable | None = end
+        while cursor is not None:
+            path.extend(reversed(members[cursor]))
+            cursor = back[cursor]
+        path.reverse()
+        return best[end], path
+
+    return solve
 
 
 def longest_path_length(graph: DiGraph) -> int:

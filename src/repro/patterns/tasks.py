@@ -22,11 +22,12 @@ the CU-graph critical path per activation.
 from __future__ import annotations
 
 from collections import deque
+from typing import Callable
 
 from repro.cu.detect import detect_cus
 from repro.cu.graph import build_cu_graph, cu_weight
 from repro.cu.model import CU
-from repro.graphs.algorithms import critical_path, has_path
+from repro.graphs.algorithms import critical_path_solver, has_path
 from repro.graphs.digraph import DiGraph
 from repro.lang.analysis import is_recursive
 from repro.lang.ast_nodes import Program
@@ -119,49 +120,55 @@ def _barrier_inputs(graph: DiGraph, marks: dict[int, str]) -> dict[int, list[int
     }
 
 
-def _recursive_span(
-    profile: Profile,
-    program: Program,
-    region: int,
-    cus: list[CU],
-    graph: DiGraph,
-) -> tuple[float, float] | None:
-    """(work, span) over the dynamic task tree of a recursive hotspot."""
-    if profile.calltree is None:
-        return None
-    roots = [n for n in profile.calltree.walk() if n.region == region]
-    if not roots:
-        return None
-    # Top-most activation of the region:
-    root = roots[0]
+def _cu_cost_shares(
+    profile: Profile, cus: list[CU]
+) -> tuple[dict[int, int], dict[int, int], int]:
+    """(call-site line -> CU, CU -> aggregate direct line cost, their total).
 
+    An activation's exclusive cost is distributed across CUs in proportion
+    to their aggregate direct line costs.
+    """
     line_to_cu: dict[int, int] = {}
     for cu in cus:
         for line in cu.lines:
             line_to_cu.setdefault(line, cu.cu_id)
-    # Distribute an activation's exclusive cost across CUs proportionally to
-    # their aggregate direct line costs.
     agg_excl = {
         cu.cu_id: sum(profile.line_costs.get(line, 0) for line in cu.lines)
         for cu in cus
     }
-    total_excl = sum(agg_excl.values()) or 1
+    return line_to_cu, agg_excl, sum(agg_excl.values()) or 1
+
+
+def _recursive_span(
+    profile: Profile,
+    region: int,
+    cus: list[CU],
+    graph: DiGraph,
+    solve: Callable,
+) -> tuple[float, float] | None:
+    """(work, span) over the dynamic task tree of a recursive hotspot.
+
+    *solve* is :func:`critical_path_solver` of *graph*.  The task tree is
+    as deep as the recursion, so spans are computed bottom-up from an
+    explicit stack rather than by recursing.
+    """
+    roots = profile.activations(region)
+    if not roots:
+        return None
+    # Top-most activation of the region:
+    root = roots[0]
+    line_to_cu, agg_excl, total_excl = _cu_cost_shares(profile, cus)
 
     span_cache: dict[int, float] = {}
 
-    def span_of(act: CallNode) -> float:
-        if act.act_id in span_cache:
-            return span_cache[act.act_id]
-        if act.region != region:
-            # Non-self activations are treated as sequential black boxes.
-            span_cache[act.act_id] = float(act.inclusive_cost)
-            return float(act.inclusive_cost)
+    def resolve(act: CallNode) -> None:
+        # span of a self activation whose children are all resolved
         child_span: dict[int, float] = {}
         for child in act.children:
             cu_id = line_to_cu.get(child.site_line)
             if cu_id is None:
                 continue
-            child_span[cu_id] = child_span.get(cu_id, 0.0) + span_of(child)
+            child_span[cu_id] = child_span.get(cu_id, 0.0) + span_cache[child.act_id]
 
         def weight(cu_id: int) -> float:
             local = act.exclusive_cost * agg_excl.get(cu_id, 0) / total_excl
@@ -170,13 +177,32 @@ def _recursive_span(
         if len(graph) == 0:
             value = float(act.inclusive_cost)
         else:
-            value, _ = critical_path(graph, weight)
+            value, _ = solve(weight)
             # CUs not on any path still execute; ensure span >= heaviest CU.
             value = max(value, max((weight(c.cu_id) for c in cus), default=0.0))
         span_cache[act.act_id] = value
-        return value
 
-    return float(root.inclusive_cost), span_of(root)
+    stack = [root]
+    while stack:
+        act = stack[-1]
+        if act.act_id in span_cache:
+            stack.pop()
+        elif act.region != region:
+            # Non-self activations are treated as sequential black boxes.
+            span_cache[act.act_id] = float(act.inclusive_cost)
+            stack.pop()
+        else:
+            pending = [
+                child for child in act.children
+                if child.act_id not in span_cache
+                and child.site_line in line_to_cu
+            ]
+            if pending:
+                stack.extend(reversed(pending))
+            else:
+                resolve(act)
+                stack.pop()
+    return float(root.inclusive_cost), span_cache[root.act_id]
 
 
 def _single_step(
@@ -184,28 +210,19 @@ def _single_step(
     region: int,
     cus: list[CU],
     graph: DiGraph,
+    solve: Callable,
 ) -> tuple[int, int] | None:
     """(total, critical path) for the top activation, recursion unexpanded.
 
     Child activations contribute their full inclusive cost as an opaque
     block assigned to the call-site CU — the paper's "only one recursive
-    step" semantics.
+    step" semantics.  *solve* is :func:`critical_path_solver` of *graph*.
     """
-    if profile.calltree is None:
-        return None
-    roots = [n for n in profile.calltree.walk() if n.region == region]
+    roots = profile.activations(region)
     if not roots:
         return None
     root = roots[0]
-    line_to_cu: dict[int, int] = {}
-    for cu in cus:
-        for line in cu.lines:
-            line_to_cu.setdefault(line, cu.cu_id)
-    agg_excl = {
-        cu.cu_id: sum(profile.line_costs.get(line, 0) for line in cu.lines)
-        for cu in cus
-    }
-    total_excl = sum(agg_excl.values()) or 1
+    line_to_cu, agg_excl, total_excl = _cu_cost_shares(profile, cus)
     child_cost: dict[int, float] = {}
     for child in root.children:
         cu_id = line_to_cu.get(child.site_line)
@@ -220,7 +237,7 @@ def _single_step(
     total = root.inclusive_cost
     if len(graph) == 0:
         return int(total), int(total)
-    cp, _ = critical_path(graph, weight)
+    cp, _ = solve(weight)
     cp = max(cp, max((weight(c.cu_id) for c in cus), default=0.0))
     return int(total), int(round(cp))
 
@@ -254,22 +271,23 @@ def detect_task_parallelism(
         and is_recursive(program.function(reg.function), program)
     )
 
+    solve = critical_path_solver(graph)
     work_span: tuple[float, float] | None = None
     if recursive:
-        work_span = _recursive_span(profile, program, region, cus, graph)
+        work_span = _recursive_span(profile, region, cus, graph, solve)
     if work_span is None:
         total = sum(weights.values())
         if len(graph) and total > 0:
-            span, path = critical_path(graph, lambda cu: weights[cu])
+            span, path = solve(lambda cu: weights[cu])
             span = max(span, max(weights.values(), default=0.0))
         else:
             span, path = total, [cu.cu_id for cu in cus]
         work, span_value, cp = total, span, path
     else:
         work, span_value = work_span
-        _, cp = critical_path(graph, lambda cu: weights.get(cu, 0.0)) if len(graph) else (0.0, [])
+        _, cp = solve(lambda cu: weights.get(cu, 0.0))
 
-    single = _single_step(profile, region, cus, graph)
+    single = _single_step(profile, region, cus, graph, solve)
     return TaskParallelism(
         region=region,
         cus=cus,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 RAW = "RAW"
 WAR = "WAR"
@@ -72,10 +72,9 @@ class PETNode:
                 return child
         return None
 
-    def walk(self) -> Iterable["PETNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+    def walk(self) -> Iterator["PETNode"]:
+        """This node and its descendants, in pre-order."""
+        return _preorder(self)
 
     def max_depth(self) -> int:
         """Height of this subtree in nodes (a leaf is depth 1)."""
@@ -111,10 +110,21 @@ class CallNode:
     exclusive_cost: int = 0
     per_iter_cost: list[int] = field(default_factory=list)
 
-    def walk(self) -> Iterable["CallNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+    def walk(self) -> Iterator["CallNode"]:
+        """This activation and its descendants, in pre-order (execution
+        order)."""
+        return _preorder(self)
+
+
+def _preorder(root):
+    # Iterative: a call tree is as deep as the program's recursion, which
+    # can exceed the interpreter's recursion limit (a nested ``yield from``
+    # would also cost O(depth) per node).
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 @dataclass(slots=True)
@@ -147,6 +157,11 @@ class Profile:
     #: stream from memory) and the number of array-element accesses
     unique_array_addresses: int = 0
     array_accesses: int = 0
+    #: (call tree root, region -> activations) built by the first
+    #: :meth:`activations` query; derived data, never serialized
+    _activation_index: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def streaming_fraction(self) -> float:
@@ -193,6 +208,29 @@ class Profile:
     def max_trip(self, loop: int) -> int:
         info = self.loop_trips.get(loop)
         return info[2] if info else 0
+
+    def activations(self, region: int) -> tuple[CallNode, ...]:
+        """All call-tree activations of *region*, in execution order.
+
+        The first query indexes the whole call tree in one pass; later
+        queries are dict lookups.  The index is rebuilt if ``calltree`` is
+        replaced.
+        """
+        root = self.calltree
+        if root is None:
+            return ()
+        cached = self._activation_index
+        if cached is None or cached[0] is not root:
+            index: dict[int, list[CallNode]] = {}
+            for node in root.walk():
+                acts = index.get(node.region)
+                if acts is None:
+                    index[node.region] = [node]
+                else:
+                    acts.append(node)
+            cached = (root, {r: tuple(acts) for r, acts in index.items()})
+            self._activation_index = cached
+        return cached[1].get(region, ())
 
     def region_cost(self, region: int) -> int:
         """Inclusive cost of *region* summed over its PET occurrences."""

@@ -33,9 +33,11 @@ The profiler receives events in chunks through :meth:`Profiler.consume_batch`
 (see ``repro.runtime.events``): the read/write/cost/stmt/iteration handlers
 are inlined in one loop with all per-event state hoisted into locals.
 Access events carry ``(tag, addr, sid)`` where ``sid`` indexes the program's
-static :class:`~repro.runtime.sites.SiteTable`; the per-event ``Sink``
-methods remain as the reference implementation and simply wrap each call
-into a one-event batch, so interleaving them with batched delivery is safe.
+static :class:`~repro.runtime.sites.SiteTable`.  The per-event ``Sink``
+methods stay as the eager reference: accesses wrap into one-event batches,
+costs, statements and iterations update the profile directly, and every
+batch settles its deferred state before it returns, so interleaving them
+with batched delivery is safe.
 
 In-loop dependence summarization
 --------------------------------
@@ -44,29 +46,45 @@ for their divergence point, classifying the carrier, and building an
 aggregation key — per access.  But inside a loop the stream is massively
 repetitive: consecutive accesses at one site hit addresses whose shadow
 entries were written by the *same* site under the *same* pair of activation
-stacks, usually marching with a fixed stride.  The profiler therefore keeps
-one **stride-run descriptor** per (current sid, dependence kind): the pair
-of context-stack snapshots it was derived under (compared by object
-identity — snapshots are immutable and rebuilt on region transitions, and
-the descriptor holds strong references so an id can never be recycled), the
-divergence level, the pre-built aggregation keys for the carried and
-independent variants, the running access counts, and the current
-``(base, stride, count)`` run of addresses.  While a descriptor matches,
-recording a dependence is a handful of integer compares and a counter
-bump; the first access that breaks the run — a different writer site, a
-rebuilt context, a changed site line at the divergence level — falls back
-to the exact per-access derivation, which installs a fresh descriptor.
-Descriptor counts are folded into the aggregated dependence table when a
-descriptor is replaced and at :meth:`finish`, so the result is **exactly**
-the per-access table, event for event; only the work is collapsed.
+stacks.  The profiler therefore memoizes one **descriptor** per (current
+sid, previous sid, dependence kind): the derived divergence level, the
+pre-built aggregation keys for the carried and independent variants, the
+source and sink site lines expected at the divergence level, and the
+running access counts.  A descriptor is trusted for an access only while
+
+* the shadow entry's and the current activation-id snapshots are the very
+  objects it was derived under (compared by identity — snapshots are
+  immutable and rebuilt on region transitions, and the descriptor holds
+  strong references so an id can never be recycled), and
+* the site lines at the divergence level still equal the expected ones.
+
+Then recording the dependence is a carried-or-not compare of the two
+iteration numbers at that level and a counter bump.  Any mismatch falls
+back to the exact per-access derivation, which either revalidates the
+descriptor in place (same region and site lines: only the snapshots aged)
+or folds its counts into the aggregated dependence table and installs a
+fresh one.  The address sequence plays no part in validity.  Descriptor
+counts are also folded at :meth:`finish`, so the result is **exactly** the
+per-access table, event for event; only the work is collapsed.
 
 Dependences whose endpoints share the whole activation stack — the
 dominant case: in-loop affine accesses and recursion-local cells — take a
-cheaper descriptor family still (the ``_S_*`` slots): divergence is
-necessarily at the innermost level, so validity reduces to three scalar
-compares and the descriptor never references a stack snapshot, which
-keeps it valid across activation churn where the snapshot-identity
-descriptors of recursive programs miss on every call.
+cheaper descriptor family still (the ``_same_*`` tables): divergence is
+necessarily at the innermost level, so validity reduces to the identity of
+the shadow entry's snapshot with the current one plus two site-line
+compares, and the descriptor references no snapshot, which keeps it valid
+across activation churn where the snapshot-identity descriptors of
+recursive programs miss on every call.
+
+Deferred cost fold
+------------------
+An ``EV_COST`` event only adds its amount to an open *frame* total and to
+the current static region's ``{line: cost}`` table.  The frame is charged
+to the innermost activation (its running inclusive cost, its PET node and
+its call-tree node) at the next iteration boundary, region transition, or
+batch end — the points where anything reads those totals.  The per-region
+tables become ``line_costs`` and ``site_costs`` at :meth:`finish`; both are
+additive and keyed, so the deferred sums equal the eager per-event ones.
 
 First-touch bookkeeping gets the same treatment: once a ``(loop, var)`` is
 marked ``read_first`` at every live loop level, further marks are no-ops,
@@ -78,6 +96,8 @@ to suppress read marks that can never come.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import partial
 from typing import Sequence
 
 from repro.profiling.model import RAW, WAR, WAW, CallNode, DepKey, PETNode, Profile
@@ -97,6 +117,9 @@ from repro.runtime.sites import SiteTable
 
 _NO_ITER = -1
 
+# Stands in for the innermost loop's first-touch set while no loop is live.
+_NO_SEEN: frozenset[int] = frozenset()
+
 # Descriptor dicts are keyed by ``sid * _KEYM + psid`` — one int, hashed by
 # value — so a site whose addresses alternate between two writer sites (a
 # set/reset pair in a backtracking loop, say) keeps one live descriptor per
@@ -105,48 +128,48 @@ _NO_ITER = -1
 # packing never collides in practice.
 _KEYM = 1 << 20
 
-# Stride-run descriptor slots (plain lists: fastest mutable record in
-# CPython).  See the module docstring for the validity rules.
-_T_PIDS = 0  # shadow entry's activation-id snapshot (identity-checked)
-_T_PSID = 1  # shadow entry's site id (implied by the dict key)
-_T_CIDS = 2  # current activation-id snapshot (identity-checked)
-_T_M = 3  # divergence level minus one; -1 encodes "no common activation"
-_T_LOOP = 4  # True when the common activation is a loop
-_T_PSITE = 5  # expected source site line at level m
-_T_CSITE = 6  # expected sink site line at level m
-_T_KEY0 = 7  # aggregation key, independent variant
-_T_KEY1 = 8  # aggregation key, carried variant (None for non-loops)
-_T_N0 = 9  # accesses counted as independent
-_T_N1 = 10  # accesses counted as carried
-_T_PAIR = 11  # multi-loop pair recipe (w_static, d, r_act, pair_key) or None
-_T_STRIDE = 12  # address stride of the current run (None before 2nd access)
-_T_LAST = 13  # last address seen
-_T_RUNS = 14  # completed stride runs
-_T_MAXRUN = 15  # longest completed run
-_T_CURN = 16  # length of the current run
+# Descriptor layout (plain lists: fastest mutable record in CPython; the
+# hot loop indexes them by literal).  See the module docstring for the
+# validity rules.  Both families share the first seven slots, so one
+# :func:`_fold` serves both:
+#
+#   0  aggregation key, independent variant (None: no common activation)
+#   1  aggregation key, carried variant (None for non-loops)
+#   2  accesses counted as independent
+#   3  accesses counted as carried
+#   4  expected source site line at the divergence level
+#   5  expected sink site line at the divergence level
+#   6  True when the common activation is a loop
+#
+# Cross-activation descriptors (the _tpl_* tables) add:
+#
+#   7  shadow entry's activation-id snapshot (identity-checked)
+#   8  current activation-id snapshot (identity-checked)
+#   9  divergence level minus one; -1 encodes "no common activation"
+#   10 multi-loop pair recipe (w_static, d, r_act, pair_key) or None
+#
+# Same-activation descriptors (the _same_* tables) stop at slot 6: when a
+# shadow entry's snapshot *is* the current one, both endpoints share the
+# whole stack, the divergence level is the innermost one, and the pair
+# condition (endpoints in different sibling loops) can never hold.
 
-# Same-activation descriptor slots.  When a shadow entry's activation-id
-# snapshot *is* the current snapshot (checked by object identity), both
-# endpoints share the whole stack: the divergence level is always the
-# innermost one, the pair condition (endpoints in different sibling loops)
-# can never hold, and the aggregation key depends on nothing but the two
-# site ids, the innermost region, and the two innermost site lines.  Such
-# descriptors carry no stack snapshots at all, so they stay valid across
-# activation churn — recursive programs, whose fresh snapshot per call
-# defeats the _T_* descriptors, summarize through these instead.
-_S_PSID = 0  # shadow entry's site id (implied by the dict key)
-_S_PSITE = 1  # expected source site line at the innermost level
-_S_CSITE = 2  # expected sink site line at the innermost level
-_S_KEY0 = 3  # aggregation key, independent variant
-_S_KEY1 = 4  # aggregation key, carried variant (None for non-loops)
-_S_LOOP = 5  # True when the innermost activation is a loop
-_S_N0 = 6  # accesses counted as independent
-_S_N1 = 7  # accesses counted as carried
-_S_STRIDE = 8  # address stride of the current run (None before 2nd access)
-_S_LAST = 9  # last address seen
-_S_RUNS = 10  # completed stride runs
-_S_MAXRUN = 11  # longest completed run
-_S_CURN = 12  # length of the current run
+
+def _fold(deps: dict[tuple, int], run: list) -> int:
+    """Fold a descriptor's counts into the dependence table.
+
+    Returns the number of dependence events the descriptor recorded.  A
+    "no common activation" descriptor never counts, so its ``None`` keys
+    are never touched.
+    """
+    n0 = run[2]
+    n1 = run[3]
+    if n0:
+        key = run[0]
+        deps[key] = deps.get(key, 0) + n0
+    if n1:
+        key = run[1]
+        deps[key] = deps.get(key, 0) + n1
+    return n0 + n1
 
 
 class Profiler(Sink):
@@ -176,10 +199,10 @@ class Profiler(Sink):
         # carrier, src_site, dst_site) keys; materialized into DepKey
         # records once at finish()
         self._deps_raw: dict[tuple, int] = {}
-        # stride-run dependence descriptors, one per (current sid, kind);
-        # the _tpl_* dicts cover cross-activation dependences, the _same_*
-        # dicts cover dependences whose endpoints share the activation
-        # stack (the dominant case: in-loop affine accesses and
+        # dependence descriptors, one per (current sid, previous sid) and
+        # kind; the _tpl_* dicts cover cross-activation dependences, the
+        # _same_* dicts cover dependences whose endpoints share the
+        # activation stack (the dominant case: in-loop affine accesses and
         # recursion-local cells) with a depth-independent validity check
         self._tpl_raw: dict[int, list] = {}
         self._tpl_waw: dict[int, list] = {}
@@ -189,14 +212,16 @@ class Profiler(Sink):
         self._same_war: dict[int, list] = {}
         self._tpl_installs = 0
         self._sum_events = 0
-        self._stride_runs = 0
-        self._longest_run = 0
         # PET
         self._pet_counter = 0
         self._pet_stack: list[PETNode] = []
-        # cost accounting
+        # cost accounting: running inclusive cost per live activation, and
+        # the batched path's deferred static region -> {line: cost} tables
+        # (region -1 collects costs charged outside any activation)
         self._act_costs: list[int] = []
-        self._pre_cost = 0
+        self._region_costs: defaultdict[int, defaultdict[int, int]] = defaultdict(
+            partial(defaultdict, int)
+        )
         # call tree
         self._record_ct = record_calltree
         self._max_ct = max_calltree_nodes
@@ -394,7 +419,6 @@ class Profiler(Sink):
         p.total_cost += amount
         p.line_costs[line] = p.line_costs.get(line, 0) + amount
         if not self._act_costs:
-            self._pre_cost += amount
             return
         self._act_costs[-1] += amount
         self._pet_stack[-1].exclusive_cost += amount
@@ -417,62 +441,18 @@ class Profiler(Sink):
         self.consume_batch(((EV_WRITE, addr, sid),))
 
     # ------------------------------------------------------------------
-    # dependence derivation (exact path; installs stride-run descriptors)
-    # ------------------------------------------------------------------
-
-    def _flush_tpl(self, run: list) -> None:
-        """Fold a descriptor's accumulated counts into the dependence table."""
-        n = run[_T_N0] + run[_T_N1]
-        self._sum_events += n
-        cur = run[_T_CURN]
-        self._stride_runs += run[_T_RUNS] + (1 if cur else 0)
-        peak = run[_T_MAXRUN]
-        if cur > peak:
-            peak = cur
-        if peak > self._longest_run:
-            self._longest_run = peak
-        if run[_T_M] < 0:
-            return
-        deps = self._deps_raw
-        if run[_T_N0]:
-            key = run[_T_KEY0]
-            deps[key] = deps.get(key, 0) + run[_T_N0]
-        if run[_T_N1]:
-            key = run[_T_KEY1]
-            deps[key] = deps.get(key, 0) + run[_T_N1]
-
-    def _flush_same(self, run: list) -> None:
-        """Fold a same-activation descriptor's counts into the table."""
-        n0 = run[_S_N0]
-        n1 = run[_S_N1]
-        self._sum_events += n0 + n1
-        cur = run[_S_CURN]
-        self._stride_runs += run[_S_RUNS] + (1 if cur else 0)
-        peak = run[_S_MAXRUN]
-        if cur > peak:
-            peak = cur
-        if peak > self._longest_run:
-            self._longest_run = peak
-        deps = self._deps_raw
-        if n0:
-            key = run[_S_KEY0]
-            deps[key] = deps.get(key, 0) + n0
-        if n1:
-            key = run[_S_KEY1]
-            deps[key] = deps.get(key, 0) + n1
-
-    # ------------------------------------------------------------------
     # batched fast path
     # ------------------------------------------------------------------
 
     def consume_batch(self, events: Sequence[tuple]) -> None:
         """Process a chunk of engine events with hoisted state.
 
-        Semantically identical to the per-access reference derivation; the
-        read and write paths are fully inlined, with dependence recording
-        going through the stride-run descriptors described in the module
-        docstring and falling back to :meth:`_dep_slow` whenever a
-        descriptor's validity checks fail.
+        Semantically identical to the per-event reference path.  The read
+        and write paths are fully inlined, with dependence recording going
+        through the descriptors described in the module docstring; the
+        ``dep_slow`` / ``same_slow`` closures do the exact derivation
+        whenever a descriptor's validity checks fail.  Costs go through the
+        deferred fold, which this method settles before it returns.
         """
         profile = self.profile
         last_write = self._last_write
@@ -486,8 +466,7 @@ class Profiler(Sink):
         ft_state = self._ft_state
         af = self._af
         vars_with_reads = self._vars_with_reads
-        line_costs = profile.line_costs
-        site_costs = profile.site_costs
+        region_costs = self._region_costs
         array_addrs = self._array_addrs
         statics = self._statics
         seen = self._seen
@@ -511,8 +490,6 @@ class Profiler(Sink):
         act_info = self._act_info
         installs = self._tpl_installs
         sum_events = self._sum_events
-        stride_runs = self._stride_runs
-        longest_run = self._longest_run
         ids_t = self._ids_t
         iters_t = self._iters_t
         sites_t = self._sites_t
@@ -522,33 +499,22 @@ class Profiler(Sink):
         cur_static = statics[-1] if statics else -1
         pet_top = pet_stack[-1] if pet_stack else None
         ct_top = ct_stack[-1] if ct_stack else None
+        rcost = region_costs[cur_static]
+        inner_seen = seen[loop_idx[-1]] if loop_idx else _NO_SEEN
+        # the innermost level's site and iteration, and the snapshots
+        # without it (statements and iterations only replace that level)
+        cur_site = sites_t[-1] if sites_t else None
+        cur_iter = iters_t[-1] if iters_t else None
+        site_head = sites_t[:-1]
+        iter_head = iters_t[:-1]
+        frame = 0  # costs not yet charged to the innermost activation
         total_cost = profile.total_cost
         arr_n = profile.array_accesses
         keym = _KEYM
 
-        def _flush(old: list) -> None:
-            # Fold a displaced _T_* descriptor's counts into the table.
-            nonlocal sum_events, stride_runs, longest_run
-            n0 = old[9]
-            n1 = old[10]
-            sum_events += n0 + n1
-            cur = old[16]
-            stride_runs += old[14] + (1 if cur else 0)
-            peak = old[15]
-            if cur > peak:
-                peak = cur
-            if peak > longest_run:
-                longest_run = peak
-            if old[3] >= 0:
-                if n0:
-                    k = old[7]
-                    deps[k] = deps.get(k, 0) + n0
-                if n1:
-                    k = old[8]
-                    deps[k] = deps.get(k, 0) + n1
-
         def dep_slow(
-            kind: str, prev: tuple, sid: int, addr: int, tpl: dict, dkey: int
+            kind: str, prev: tuple, sid: int, addr: int, tpl: dict, dkey: int,
+            ids_t: tuple, iters_t: tuple, sites_t: tuple,
         ) -> None:
             # Exact derivation for one access; revalidates the existing
             # descriptor in place when only its stack snapshots aged, else
@@ -556,8 +522,10 @@ class Profiler(Sink):
             # fresh descriptor so following accesses take the fast path.
             # A closure so the recursion-heavy programs — whose context
             # snapshots change too often for descriptors to ever match —
-            # pay no attribute traffic on their per-access fallbacks.
-            nonlocal installs, sum_events, stride_runs, longest_run
+            # pay no attribute traffic on their per-access fallbacks.  The
+            # snapshots come as arguments, not from the enclosing scope, so
+            # the main loop keeps them in fast locals rather than cells.
+            nonlocal installs, sum_events
             p_ctx, psid = prev
             p_ids = p_ctx[0]
             if p_ids is ids_t:
@@ -571,11 +539,8 @@ class Profiler(Sink):
             old = tpl.get(dkey)
             if d == 0:
                 if old is not None:
-                    _flush(old)
-                tpl[dkey] = [
-                    p_ids, psid, ids_t, -1, False, 0, 0, None, None, 0, 0,
-                    None, None, addr, 0, 0, 1,
-                ]
+                    sum_events += _fold(deps, old)
+                tpl[dkey] = [None, None, 0, 0, 0, 0, False, p_ids, ids_t, -1, None]
                 return
             m = d - 1
             region, region_kind = act_info[p_ids[m]]
@@ -597,10 +562,10 @@ class Profiler(Sink):
                     pair = (w_static, d, r_act, (w_static, r_static))
             if (
                 old is not None
-                and old[3] >= 0
-                and old[5] == psm
-                and old[6] == csm
-                and old[7][3] == region
+                and old[9] >= 0
+                and old[4] == psm
+                and old[5] == csm
+                and old[0][3] == region
             ):
                 # Same derived dependence — only the stack snapshots aged
                 # (an inner loop re-entered, a call returned and repeated,
@@ -608,43 +573,27 @@ class Profiler(Sink):
                 # not part of the aggregation key, so a changed m with the
                 # same region and site lines is still the same dependence).
                 # Revalidate in place: refresh the snapshots, level, and
-                # pair recipe; keep the keys, counts, and stride run.
-                old[0] = p_ids
-                old[2] = ids_t
-                old[3] = m
-                old[11] = pair
+                # pair recipe; keep the keys and counts.
+                old[7] = p_ids
+                old[8] = ids_t
+                old[9] = m
+                old[10] = pair
                 if carried:
-                    old[10] += 1
+                    old[3] += 1
                 else:
-                    old[9] += 1
-                last = old[13]
-                if old[12] == addr - last:
-                    old[16] += 1
-                else:
-                    n = old[16]
-                    if n > old[15]:
-                        old[15] = n
-                    old[14] += 1
-                    old[12] = addr - last
-                    old[16] = 1
-                old[13] = addr
+                    old[2] += 1
             else:
                 if old is not None:
-                    _flush(old)
+                    sum_events += _fold(deps, old)
                 key0 = (kind, psid, sid, region, None, psm, csm)
                 key1 = (
                     (kind, psid, sid, region, region, psm, csm)
                     if is_loop else None
                 )
-                run = [
-                    p_ids, psid, ids_t, m, is_loop, psm, csm, key0, key1,
-                    0, 0, pair, None, addr, 0, 0, 1,
+                tpl[dkey] = [
+                    key0, key1, 0 if carried else 1, 1 if carried else 0,
+                    psm, csm, is_loop, p_ids, ids_t, m, pair,
                 ]
-                if carried:
-                    run[10] = 1
-                else:
-                    run[9] = 1
-                tpl[dkey] = run
             if pair is not None:
                 ix = p_ctx[1][d]
                 iy = iters_t[d]
@@ -660,51 +609,34 @@ class Profiler(Sink):
                             lst.append((ix, iy))
 
         def same_slow(
-            kind: str, prev: tuple, sid: int, addr: int, tpl: dict, dkey: int
+            kind: str, prev: tuple, sid: int, tpl: dict, dkey: int,
+            ids_t: tuple, iters_t: tuple, sites_t: tuple,
         ) -> None:
             # Exact derivation for a dependence whose endpoints share the
             # activation stack (prev's snapshot *is* ids_t): the divergence
             # level is the innermost one, no multi-loop pair can arise, and
             # the installed descriptor references no snapshots, so it stays
             # valid across recursion's activation churn.
-            nonlocal installs, sum_events, stride_runs, longest_run
+            nonlocal installs, sum_events
             p_ctx, psid = prev
             old = tpl.get(dkey)
             if old is not None:
-                n0 = old[6]
-                n1 = old[7]
-                sum_events += n0 + n1
-                cur = old[12]
-                stride_runs += old[10] + (1 if cur else 0)
-                peak = old[11]
-                if cur > peak:
-                    peak = cur
-                if peak > longest_run:
-                    longest_run = peak
-                if n0:
-                    k = old[3]
-                    deps[k] = deps.get(k, 0) + n0
-                if n1:
-                    k = old[4]
-                    deps[k] = deps.get(k, 0) + n1
+                sum_events += _fold(deps, old)
             installs += 1
             region, region_kind = act_info[ids_t[-1]]
             is_loop = region_kind == "loop"
             psm = p_ctx[2][-1]
             csm = sites_t[-1]
-            key0 = (kind, psid, sid, region, None, psm, csm)
-            key1 = (kind, psid, sid, region, region, psm, csm) if is_loop else None
-            run = [psid, psm, csm, key0, key1, is_loop, 0, 0, None, addr, 0, 0, 1]
+            carried = False
             if is_loop:
                 pim = p_ctx[1][-1]
                 cim = iters_t[-1]
-                if pim != cim and pim != -1 and cim != -1:
-                    run[7] = 1
-                else:
-                    run[6] = 1
-            else:
-                run[6] = 1
-            tpl[dkey] = run
+                carried = pim != cim and pim != -1 and cim != -1
+            tpl[dkey] = [
+                (kind, psid, sid, region, None, psm, csm),
+                (kind, psid, sid, region, region, psm, csm) if is_loop else None,
+                0 if carried else 1, 1 if carried else 0, psm, csm, is_loop,
+            ]
 
         for ev in events:
             tag = ev[0]
@@ -722,64 +654,39 @@ class Profiler(Sink):
                         run = same_raw.get(dkey)
                         if (
                             run is not None
-                            and p_ctx[2][-1] == run[1]
-                            and sites_t[-1] == run[2]
+                            and p_ctx[2][-1] == run[4]
+                            and cur_site == run[5]
                         ):
-                            if run[5]:
+                            if run[6]:
                                 pim = p_ctx[1][-1]
-                                cim = iters_t[-1]
-                                if pim != cim and pim != -1 and cim != -1:
-                                    run[7] += 1
+                                if pim != cur_iter and pim != -1 and cur_iter != -1:
+                                    run[3] += 1
                                 else:
-                                    run[6] += 1
+                                    run[2] += 1
                             else:
-                                run[6] += 1
-                            # stride-run accounting
-                            last = run[9]
-                            if run[8] == addr - last:
-                                run[12] += 1
-                            else:
-                                n = run[12]
-                                if n > run[11]:
-                                    run[11] = n
-                                run[10] += 1
-                                run[8] = addr - last
-                                run[12] = 1
-                            run[9] = addr
+                                run[2] += 1
                         else:
-                            same_slow(RAW, prev, sid, addr, same_raw, dkey)
+                            same_slow(RAW, prev, sid, same_raw, dkey, ids_t, iters_t, sites_t)
                     else:
                         run = tpl_raw.get(dkey)
                         if (
                             run is not None
-                            and run[0] is p_ctx[0]
-                            and run[2] is ids_t
+                            and run[7] is p_ctx[0]
+                            and run[8] is ids_t
                         ):
-                            m = run[3]
+                            m = run[9]
                             if m >= 0:
-                                if p_ctx[2][m] == run[5] and sites_t[m] == run[6]:
-                                    if run[4]:
+                                if p_ctx[2][m] == run[4] and sites_t[m] == run[5]:
+                                    if run[6]:
                                         pim = p_ctx[1][m]
                                         cim = iters_t[m]
                                         if pim != cim and pim != -1 and cim != -1:
-                                            run[10] += 1
+                                            run[3] += 1
                                         else:
-                                            run[9] += 1
+                                            run[2] += 1
                                     else:
-                                        run[9] += 1
-                                    # stride-run accounting
-                                    last = run[13]
-                                    if run[12] == addr - last:
-                                        run[16] += 1
-                                    else:
-                                        n = run[16]
-                                        if n > run[15]:
-                                            run[15] = n
-                                        run[14] += 1
-                                        run[12] = addr - last
-                                        run[16] = 1
-                                    run[13] = addr
-                                    pair = run[11]
+                                        run[2] += 1
+                                    pair = run[10]
                                     if pair is not None:
                                         dlev = pair[1]
                                         ix = p_ctx[1][dlev]
@@ -795,10 +702,13 @@ class Profiler(Sink):
                                                 else:
                                                     lst.append((ix, iy))
                                 else:
-                                    dep_slow(RAW, prev, sid, addr, tpl_raw, dkey)
+                                    dep_slow(
+                                        RAW, prev, sid, addr, tpl_raw, dkey,
+                                        ids_t, iters_t, sites_t,
+                                    )
                             # m < 0: proven no-dep for this snapshot pair
                         else:
-                            dep_slow(RAW, prev, sid, addr, tpl_raw, dkey)
+                            dep_slow(RAW, prev, sid, addr, tpl_raw, dkey, ids_t, iters_t, sites_t)
                 last_read[addr] = (ctx, sid)
                 state = ft_state.get(sid)
                 if state is None:
@@ -822,7 +732,9 @@ class Profiler(Sink):
                                 state = 2
                                 break
                     ft_state[sid] = state
-                if state == 2:
+                # membership at the innermost loop level implies membership
+                # at every enclosing one, so a repeat touch skips the walk
+                if state == 2 and addr not in inner_seen:
                     var = s_vars[sid]
                     for i in reversed(loop_idx):
                         level_seen = seen[i]
@@ -844,43 +756,45 @@ class Profiler(Sink):
                         run = same_waw.get(dkey)
                         if (
                             run is not None
-                            and p_ctx[2][-1] == run[1]
-                            and sites_t[-1] == run[2]
+                            and p_ctx[2][-1] == run[4]
+                            and cur_site == run[5]
                         ):
-                            if run[5]:
+                            if run[6]:
                                 pim = p_ctx[1][-1]
-                                cim = iters_t[-1]
-                                if pim != cim and pim != -1 and cim != -1:
-                                    run[7] += 1
+                                if pim != cur_iter and pim != -1 and cur_iter != -1:
+                                    run[3] += 1
                                 else:
-                                    run[6] += 1
+                                    run[2] += 1
                             else:
-                                run[6] += 1
+                                run[2] += 1
                         else:
-                            same_slow(WAW, prev, sid, addr, same_waw, dkey)
+                            same_slow(WAW, prev, sid, same_waw, dkey, ids_t, iters_t, sites_t)
                     else:
                         run = tpl_waw.get(dkey)
                         if (
                             run is not None
-                            and run[0] is p_ctx[0]
-                            and run[2] is ids_t
+                            and run[7] is p_ctx[0]
+                            and run[8] is ids_t
                         ):
-                            m = run[3]
+                            m = run[9]
                             if m >= 0:
-                                if p_ctx[2][m] == run[5] and sites_t[m] == run[6]:
-                                    if run[4]:
+                                if p_ctx[2][m] == run[4] and sites_t[m] == run[5]:
+                                    if run[6]:
                                         pim = p_ctx[1][m]
                                         cim = iters_t[m]
                                         if pim != cim and pim != -1 and cim != -1:
-                                            run[10] += 1
+                                            run[3] += 1
                                         else:
-                                            run[9] += 1
+                                            run[2] += 1
                                     else:
-                                        run[9] += 1
+                                        run[2] += 1
                                 else:
-                                    dep_slow(WAW, prev, sid, addr, tpl_waw, dkey)
+                                    dep_slow(
+                                        WAW, prev, sid, addr, tpl_waw, dkey,
+                                        ids_t, iters_t, sites_t,
+                                    )
                         else:
-                            dep_slow(WAW, prev, sid, addr, tpl_waw, dkey)
+                            dep_slow(WAW, prev, sid, addr, tpl_waw, dkey, ids_t, iters_t, sites_t)
                 prev = last_read.get(addr)
                 if prev is not None:
                     p_ctx = prev[0]
@@ -889,43 +803,45 @@ class Profiler(Sink):
                         run = same_war.get(dkey)
                         if (
                             run is not None
-                            and p_ctx[2][-1] == run[1]
-                            and sites_t[-1] == run[2]
+                            and p_ctx[2][-1] == run[4]
+                            and cur_site == run[5]
                         ):
-                            if run[5]:
+                            if run[6]:
                                 pim = p_ctx[1][-1]
-                                cim = iters_t[-1]
-                                if pim != cim and pim != -1 and cim != -1:
-                                    run[7] += 1
+                                if pim != cur_iter and pim != -1 and cur_iter != -1:
+                                    run[3] += 1
                                 else:
-                                    run[6] += 1
+                                    run[2] += 1
                             else:
-                                run[6] += 1
+                                run[2] += 1
                         else:
-                            same_slow(WAR, prev, sid, addr, same_war, dkey)
+                            same_slow(WAR, prev, sid, same_war, dkey, ids_t, iters_t, sites_t)
                     else:
                         run = tpl_war.get(dkey)
                         if (
                             run is not None
-                            and run[0] is p_ctx[0]
-                            and run[2] is ids_t
+                            and run[7] is p_ctx[0]
+                            and run[8] is ids_t
                         ):
-                            m = run[3]
+                            m = run[9]
                             if m >= 0:
-                                if p_ctx[2][m] == run[5] and sites_t[m] == run[6]:
-                                    if run[4]:
+                                if p_ctx[2][m] == run[4] and sites_t[m] == run[5]:
+                                    if run[6]:
                                         pim = p_ctx[1][m]
                                         cim = iters_t[m]
                                         if pim != cim and pim != -1 and cim != -1:
-                                            run[10] += 1
+                                            run[3] += 1
                                         else:
-                                            run[9] += 1
+                                            run[2] += 1
                                     else:
-                                        run[9] += 1
+                                        run[2] += 1
                                 else:
-                                    dep_slow(WAR, prev, sid, addr, tpl_war, dkey)
+                                    dep_slow(
+                                        WAR, prev, sid, addr, tpl_war, dkey,
+                                        ids_t, iters_t, sites_t,
+                                    )
                         else:
-                            dep_slow(WAR, prev, sid, addr, tpl_war, dkey)
+                            dep_slow(WAR, prev, sid, addr, tpl_war, dkey, ids_t, iters_t, sites_t)
                 last_write[addr] = (ctx, sid)
                 state = ft_state.get(sid)
                 if state is None:
@@ -954,49 +870,45 @@ class Profiler(Sink):
                                     state = 2
                                     break
                     ft_state[sid] = state
-                if state == 2:
+                if state == 2 and addr not in inner_seen:
                     for i in reversed(loop_idx):
                         level_seen = seen[i]
                         if addr in level_seen:
                             break
                         level_seen.add(addr)
             elif tag == EV_COST:
-                line = ev[1]
                 amount = ev[2]
-                total_cost += amount
-                count = line_costs.get(line)
-                line_costs[line] = amount if count is None else count + amount
-                if act_costs:
-                    act_costs[-1] += amount
-                    pet_top.exclusive_cost += amount
-                    if ct_top is not None:
-                        ct_top.exclusive_cost += amount
-                    k = (cur_static, line)
-                    count = site_costs.get(k)
-                    site_costs[k] = amount if count is None else count + amount
-                else:
-                    self._pre_cost += amount
+                frame += amount
+                rcost[ev[1]] += amount
             elif tag == EV_STMT:
                 line = ev[1]
-                if sites and sites[-1] != line:
-                    sites[-1] = line
-                    sites_t = sites_t[:-1] + (line,)
-                    self._sites_t = sites_t
+                if line != cur_site and sites:
+                    sites[-1] = cur_site = line
+                    sites_t = site_head + (line,)
                     ctx = (ids_t, iters_t, sites_t)
-                    self._ctx = ctx
-            elif tag == EV_ITER:
-                index = ev[2]
-                iters[-1] = index
-                iters_t = iters_t[:-1] + (index,)
-                self._iters_t = iters_t
-                ctx = (ids_t, iters_t, sites_t)
-                self._ctx = ctx
-                seen[-1] = set()
-                if ct_top is not None and index > 0:
-                    acc = act_costs[-1]
-                    ct_top.per_iter_cost.append(acc - iter_marks[-1])
-                    iter_marks[-1] = acc
             else:
+                # an iteration boundary or a region transition reads the
+                # innermost activation's totals: charge the open frame
+                if frame:
+                    total_cost += frame
+                    if act_costs:
+                        act_costs[-1] += frame
+                        pet_top.exclusive_cost += frame
+                        if ct_top is not None:
+                            ct_top.exclusive_cost += frame
+                    frame = 0
+                if tag == EV_ITER:
+                    index = ev[2]
+                    iters[-1] = cur_iter = index
+                    iters_t = iter_head + (index,)
+                    ctx = (ids_t, iters_t, sites_t)
+                    seen[-1] = set()
+                    inner_seen = seen[loop_idx[-1]]
+                    if ct_top is not None and index > 0:
+                        acc = act_costs[-1]
+                        ct_top.per_iter_cost.append(acc - iter_marks[-1])
+                        iter_marks[-1] = acc
+                    continue
                 if tag == EV_ENTER_FUNC:
                     self._enter(ev[1], ev[2], "function", ev[3], ev[3])
                 elif tag == EV_EXIT_FUNC:
@@ -1016,12 +928,26 @@ class Profiler(Sink):
                 cur_static = statics[-1] if statics else -1
                 pet_top = pet_stack[-1] if pet_stack else None
                 ct_top = ct_stack[-1] if ct_stack else None
+                rcost = region_costs[cur_static]
+                inner_seen = seen[loop_idx[-1]] if loop_idx else _NO_SEEN
+                cur_site = sites_t[-1] if sites_t else None
+                cur_iter = iters_t[-1] if iters_t else None
+                site_head = sites_t[:-1]
+                iter_head = iters_t[:-1]
+        if frame:
+            total_cost += frame
+            if act_costs:
+                act_costs[-1] += frame
+                pet_top.exclusive_cost += frame
+                if ct_top is not None:
+                    ct_top.exclusive_cost += frame
         profile.total_cost = total_cost
         profile.array_accesses = arr_n
+        self._iters_t = iters_t
+        self._sites_t = sites_t
+        self._ctx = ctx
         self._tpl_installs = installs
         self._sum_events = sum_events
-        self._stride_runs = stride_runs
-        self._longest_run = longest_run
 
     # ------------------------------------------------------------------
 
@@ -1030,40 +956,48 @@ class Profiler(Sink):
 
         Meaningful after :meth:`finish`.  ``dep_events`` is the number of
         dependence-recording events; ``exact_derivations`` of those took the
-        full divergence-scan path (each installing a descriptor);
-        ``stride_runs`` and ``longest_run`` describe the address runs the
-        descriptors observed.
+        full divergence-scan path (each installing or revalidating a
+        descriptor); ``summarized_events`` is the rest, recorded by a
+        descriptor's counter bump alone.  The counts are engine-invariant.
         """
         return {
             "dep_events": self._sum_events,
             "exact_derivations": self._tpl_installs,
             "summarized_events": self._sum_events - self._tpl_installs,
-            "stride_runs": self._stride_runs,
-            "longest_run": self._longest_run,
         }
 
     def finish(self) -> None:
         profile = self.profile
-        for tpl in (self._tpl_raw, self._tpl_waw, self._tpl_war):
+        deps = self._deps_raw
+        for tpl in (
+            self._tpl_raw, self._tpl_waw, self._tpl_war,
+            self._same_raw, self._same_waw, self._same_war,
+        ):
             for run in tpl.values():
-                self._flush_tpl(run)
+                self._sum_events += _fold(deps, run)
             tpl.clear()
-        for tpl in (self._same_raw, self._same_waw, self._same_war):
-            for run in tpl.values():
-                self._flush_same(run)
-            tpl.clear()
-        if self._deps_raw:
-            deps = profile.deps
+        if deps:
+            dep_keys = profile.deps
             s_lines = self._s_lines
             s_vars = self._s_vars
-            for key, count in self._deps_raw.items():
+            for key, count in deps.items():
                 kind, psid, sid, region, carrier, psm, csm = key
                 dep = DepKey(
                     kind, s_vars[psid], region, carrier,
                     s_lines[psid], s_lines[sid], psm, csm,
                 )
-                deps[dep] = deps.get(dep, 0) + count
+                dep_keys[dep] = dep_keys.get(dep, 0) + count
             self._deps_raw = {}
+        # the batched path's deferred per-region cost tables
+        line_costs = profile.line_costs
+        site_costs = profile.site_costs
+        for region, costs in self._region_costs.items():
+            for line, amount in costs.items():
+                line_costs[line] = line_costs.get(line, 0) + amount
+                if region >= 0:
+                    key = (region, line)
+                    site_costs[key] = site_costs.get(key, 0) + amount
+        self._region_costs.clear()
         # Sorted by region id so live profiles iterate identically to
         # cache-round-tripped ones (the serializer emits sorted order, and
         # detector insertion order rides on this dict's iteration order).

@@ -10,7 +10,7 @@ program into a :class:`SiteTable` and tags each AST node with its site id
 (``_sid``).  The interpreter and the closure compiler then emit compact
 ``(tag, addr, sid)`` event tuples instead of re-packing the same strings and
 flags into every event, and the profiler's dependence summarizer keys its
-per-site stride-run descriptors by sid.
+per-site descriptors by sid.
 
 The table also answers one static question the profiler exploits:
 :attr:`SiteTable.alias_free`.  MiniC has exactly one aliasing mechanism —

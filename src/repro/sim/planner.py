@@ -14,7 +14,7 @@ from typing import Sequence
 from repro.cu.model import CU
 from repro.patterns.engine import AnalysisResult, summarize_patterns
 from repro.patterns.result import MultiLoopPipeline, TaskParallelism
-from repro.profiling.model import CallNode, Profile
+from repro.profiling.model import Profile
 from repro.sim.amdahl import compose_speedup
 from repro.sim.doall import simulate_doall, simulate_reduction
 from repro.sim.geometric import simulate_geometric
@@ -30,17 +30,10 @@ from repro.sim.tasks import simulate_recursive_tasks, simulate_task_graph
 # ---------------------------------------------------------------------------
 
 
-def region_activations(profile: Profile, region: int) -> list[CallNode]:
-    """All dynamic activations of *region*, in execution order."""
-    if profile.calltree is None:
-        return []
-    return [n for n in profile.calltree.walk() if n.region == region]
-
-
 def loop_invocation_costs(profile: Profile, loop_region: int) -> list[list[float]]:
     """Per-iteration (inclusive) costs for each invocation of a loop."""
     out: list[list[float]] = []
-    for node in region_activations(profile, loop_region):
+    for node in profile.activations(loop_region):
         if node.per_iter_cost:
             out.append([float(c) for c in node.per_iter_cost])
         elif node.inclusive_cost:
@@ -75,18 +68,15 @@ def _coverage(profile: Profile, regions: Sequence[int]) -> float:
 
 def _max_depth(profile: Profile, region: int) -> int:
     """Deepest nesting of activations of *region* within themselves."""
-    if profile.calltree is None:
-        return 1
-    best = [0]
-
-    def walk(node: CallNode, depth: int) -> None:
-        here = depth + (1 if node.region == region else 0)
-        best[0] = max(best[0], here)
-        for child in node.children:
-            walk(child, here)
-
-    walk(profile.calltree, 0)
-    return max(1, best[0])
+    # Activations come in pre-order, so each one's nearest enclosing
+    # activation of the region already has its depth.
+    depth: dict[int, int] = {}
+    for act in profile.activations(region):
+        up = act.parent
+        while up is not None and up.region != region:
+            up = up.parent
+        depth[id(act)] = 1 + (depth[id(up)] if up is not None else 0)
+    return max(1, max(depth.values(), default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +223,7 @@ def _sim_tasks(result: AnalysisResult, machine: Machine, threads: int) -> list[S
         and reg.kind == "function"
         and result.program.has_function(reg.function)
     )
-    activations = region_activations(profile, tp.region)
+    activations = profile.activations(tp.region)
     if recursive and len(activations) > 1:
         return [
             simulate_recursive_tasks(
@@ -256,7 +246,7 @@ def _sim_tasks(result: AnalysisResult, machine: Machine, threads: int) -> list[S
 
 def _sim_geometric(result: AnalysisResult, machine: Machine, threads: int) -> list[SimOutcome]:
     gd = result.geometric[0]
-    chunks = [float(n.inclusive_cost) for n in region_activations(result.profile, gd.region)]
+    chunks = [float(n.inclusive_cost) for n in result.profile.activations(gd.region)]
     return [
         simulate_geometric(
             chunks, machine, threads=threads, streaming=result.profile.streaming_fraction
@@ -292,7 +282,7 @@ def _sim_reduction(result: AnalysisResult, machine: Machine, threads: int) -> li
         if not candidates:
             return []
         loop = max(candidates, key=lambda r: result.profile.region_cost(r))
-        activations = region_activations(result.profile, loop)
+        activations = result.profile.activations(loop)
         if len(activations) > 8:
             # Recursive search: model as a task tree with per-call tasks
             # (the BOTS nqueens implementation) plus the reduction combine.

@@ -73,6 +73,30 @@ def _assert_equivalent(program, entry, args):
 # full-registry differential sweep
 
 
+# The registry's profile digests, pinned: engine parity alone cannot see a
+# profiler change that alters both engines' profiles alike.  A deliberate
+# change to profile contents or the serialized format updates these.
+_REGISTRY_DIGESTS = {
+    "2mm": "2fbf5946969468d755ff60ec7bcf268b5969e9b66c06d3d05e91f3151db88702",
+    "3mm": "a1488586ade42e0896959ac0d2ac1d34386196b4acc832b7620bd2ee28b3c391",
+    "bicg": "9a1b3914b33f3d8f62d6e37cd6184e70beb53c9779119a0ec6abebc97f54b8be",
+    "correlation": "88372795d1dae25828382e476791df1efdc7f22396e2b7ae73b045fd37ca7df7",
+    "fdtd-2d": "8de749c85f7636bb0754c51af95b6064565fe4aa20bdc00c2e75f9f7f260e996",
+    "fib": "6ddf0c2476898b9601a6e83c21f4b6d155a36fc7b4d2af4ed3cf61fcb222ddef",
+    "fluidanimate": "858ed6fce8ae9534af7aae8c135f1e48fc935c9803a7566b813f61dd382aa544",
+    "gesummv": "1b06a90d33ad3e81de17144def29018bc2b3205dcba42461cc81d502aaab82a2",
+    "kmeans": "51841ea19f6f4ada619a09185a77feb104d323a54775a5df892dbabb9f897fcf",
+    "ludcmp": "d3d940ff867418e93cf9284333e344e41b646cb5dcf582b35d982e1e4ea2f3b1",
+    "mvt": "ca006dac2e53c5d19dea449b268fe03e527b03201a7ddc50d6d929e56877976b",
+    "nqueens": "806d0116ffa0b98630049b64b26c43b68c452a64ca16b7a11fc2ebbdef4917cb",
+    "reg_detect": "22a8938d43266b90bd8fe266eda74512d128ede38ef74d78f692c26ae924d0a4",
+    "rot-cc": "1ef01cd37eb62951aba58ab02e79bb273aa0f22df66e8d9a6556f7ed9e6c32a6",
+    "sort": "1054187122cec02cd12529c6b92c90e44e2c99237f4769855e304a2fcf50fcaf",
+    "strassen": "f56c6d7dd100b7d65fc0757366363b7252541044c020038f687580247db6f206",
+    "streamcluster": "21f7a3c4ed8a389771a9cba84218b748650f508811d6eb351c9c7ca1de7a6f29",
+}
+
+
 @pytest.mark.parametrize(
     "spec", all_benchmarks(), ids=lambda spec: spec.name
 )
@@ -80,6 +104,7 @@ def test_registry_profiles_identical_across_engines(spec):
     compiled = profile_runs(spec.program, spec.entry, spec.arg_sets(), engine="compiled")
     tree = profile_runs(spec.program, spec.entry, spec.arg_sets(), engine="tree")
     assert profile_digest(compiled) == profile_digest(tree)
+    assert profile_digest(compiled) == _REGISTRY_DIGESTS[spec.name]
 
 
 def test_unknown_engine_rejected():

@@ -14,7 +14,7 @@ from repro.graphs import (
     strongly_connected_components,
     topological_sort,
 )
-from repro.graphs.algorithms import condensation
+from repro.graphs.algorithms import condensation, critical_path_solver
 
 
 def build(edges, nodes=()):
@@ -196,6 +196,19 @@ class TestCriticalPath:
 
     def test_empty_graph(self):
         assert critical_path(DiGraph(), lambda n: 1.0) == (0.0, [])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[(1, 2), (1, 3), (2, 4), (3, 4)], [(1, 2), (2, 1), (2, 3), (3, 4), (4, 3)]],
+        ids=["dag", "cyclic"],
+    )
+    def test_one_solver_serves_many_weightings(self, edges):
+        g = build(edges, nodes=[5])
+        solve = critical_path_solver(g)
+        for scale in (1.0, 0.5, 3.0):
+            for heavy in (1, 2, 3, 4, 5):
+                weight = lambda n: scale * (10.0 if n == heavy else n)  # noqa: E731
+                assert solve(weight) == critical_path(g, weight)
 
     @given(random_dag())
     @settings(max_examples=60, deadline=None)
